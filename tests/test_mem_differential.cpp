@@ -9,16 +9,26 @@
 #include "viz/app.hpp"
 #include "viz/distributed.hpp"
 
-// Spill-vs-no-spill differential: a budget far below one buffer forces the
-// governed channels to spill essentially every beyond-floor delivery, and the
-// merged images must still be BIT-IDENTICAL to the unbounded fixed-window
-// baseline — spilling changes where queued bytes live, never what the
-// pipeline computes. 10 seeds x {RR, WRR, DD} on the native engine, plus
-// 2-process distributed runs against the same baseline.
+// Spill-vs-no-spill differential: under a budget far below one buffer every
+// beyond-floor delivery is denied an elastic grant and spills, and the merged
+// images must still be BIT-IDENTICAL to the unbounded fixed-window baseline —
+// spilling changes where queued bytes live, never what the pipeline
+// computes. 10 seeds x {RR, WRR, DD} on the native engine, plus 2-process
+// distributed runs against the same baseline.
+//
+// The budget alone does not make anything spill: a delivery only asks the
+// governor once its port already holds `window` buffers, i.e. once the
+// consumer lags. The native governed runs therefore go through
+// test::run_iso_app_native_held, which holds the Ra copy set in its first
+// buffer until the RE source has finished the UOW, so beyond-floor
+// deliveries are certain on any core count. The baselines run unheld (in the
+// fixed regime a held consumer would block the source at `window`).
 //
 // NOTE on threading: the distributed tests fork rank processes, so the
-// parent stays single-threaded (no exec::Watchdog) — the process-group
-// launcher's deadline is the watchdog, exactly as in test_net_differential.
+// parent must be single-threaded there. The held runs' exec::Watchdog is
+// scoped to each run and joined before it returns; the distributed cases
+// rely on the process-group launcher's deadline, as in
+// test_net_differential.
 
 namespace dc {
 namespace {
@@ -70,9 +80,11 @@ TEST_P(MemSeededPolicy, HeavySpillIsBitIdenticalToFixedWindowNative) {
     EXPECT_EQ(base.governor.spilled_buffers, 0u);
 
     // One byte of budget: every beyond-floor delivery is denied and spills.
+    // The held Ra copy makes such deliveries certain: RE pushes all of its
+    // buffers while Ra sits on the first one.
     core::RuntimeConfig tiny = cfg;
     tiny.memory_budget_bytes = 1;
-    const viz::NativeRenderRun spilled = viz::run_iso_app_native(s, tiny, 1);
+    const test::HeldRun spilled = test::run_iso_app_native_held(s, tiny, 1);
 
     EXPECT_GT(spilled.governor.spilled_buffers, 0u)
         << "a one-byte budget must force spilling";
@@ -107,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(Policies, MemSeededPolicy,
                          });
 
 // Multi-UOW under pressure: the spill files rewind between episodes and the
-// multi-timestep series still matches the baseline frame for frame.
+// multi-timestep series still matches the baseline frame for frame. The Ra
+// copy is held in every UOW, so every UOW is a spill episode.
 TEST_F(MemDifferential, MultiUowSeriesSurvivesSustainedPressureNative) {
   auto s = spec(viz::PipelineConfig::kRE_Ra_M, viz::one_each({0}),
                 viz::one_each({0}), 0);
@@ -119,7 +132,7 @@ TEST_F(MemDifferential, MultiUowSeriesSurvivesSustainedPressureNative) {
   const viz::NativeRenderRun base = viz::run_iso_app_native(s, cfg, 3);
   core::RuntimeConfig tiny = cfg;
   tiny.memory_budget_bytes = 1;
-  const viz::NativeRenderRun spilled = viz::run_iso_app_native(s, tiny, 3);
+  const test::HeldRun spilled = test::run_iso_app_native_held(s, tiny, 3);
 
   EXPECT_GT(spilled.governor.spilled_buffers, 0u);
   ASSERT_EQ(spilled.sink->images.size(), 3u);
